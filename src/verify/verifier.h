@@ -53,9 +53,9 @@ struct VerifierOptions {
   /// Z3 per check, ~18 ms wall — see kSpesInvocationOverheadSeconds in
   /// bench_util.h): every CheckEquivalence call stalls this long before
   /// returning. 0 disables it (the in-process DPLL(T) cost only).
-  /// Benches enable this when the *placement* of verification cost
-  /// (inline under a serving lock vs. on the async plane) is the object
-  /// of measurement, not just its total.
+  /// `sharded_serve_test` sets it to hold verifier workers mid-task while
+  /// snapshots pause the queue. perfbench refuses to run with it set: a
+  /// modeled stall is not measured work.
   double modeled_invocation_stall_seconds = 0.0;
 };
 

@@ -106,7 +106,8 @@ TEST_F(GeqoSystemTest, SaveAndLoadSnapshotPreservesBehaviour) {
   const float radius_before = System().options().pipeline.vmf.radius;
   const float threshold_before = System().options().pipeline.emf.threshold;
 
-  const std::string path = ::testing::TempDir() + "/geqo_core_snapshot.bin";
+  const std::string path =
+      testing::ProcessTempDir() + "/geqo_core_snapshot.bin";
   ASSERT_TRUE(System().SaveSnapshot(path).ok());
   ASSERT_TRUE(System().LoadSnapshot(path).ok());
   EXPECT_EQ(*System().CheckPair(q1, q2), before);
@@ -118,8 +119,9 @@ TEST_F(GeqoSystemTest, SaveAndLoadSnapshotPreservesBehaviour) {
 
 TEST_F(GeqoSystemTest, LoadSnapshotRejectsForeignAndCorruptFiles) {
   const std::string pristine =
-      ::testing::TempDir() + "/geqo_core_snapshot_pristine.bin";
-  const std::string path = ::testing::TempDir() + "/geqo_core_snapshot2.bin";
+      testing::ProcessTempDir() + "/geqo_core_snapshot_pristine.bin";
+  const std::string path =
+      testing::ProcessTempDir() + "/geqo_core_snapshot2.bin";
   ASSERT_TRUE(System().SaveSnapshot(pristine).ok());
   ASSERT_TRUE(System().SaveSnapshot(path).ok());
 

@@ -180,7 +180,7 @@ TEST_F(FiltersTest, EmfFilterThresholdSplitsScores) {
 }
 
 TEST_F(FiltersTest, SystemSnapshotRoundTripKeepsCalibration) {
-  const std::string path = ::testing::TempDir() + "/system_snapshot.bin";
+  const std::string path = testing::ProcessTempDir() + "/system_snapshot.bin";
   const float radius = System().options().pipeline.vmf.radius;
   const float threshold = System().options().pipeline.emf.threshold;
   ASSERT_TRUE(System().SaveSnapshot(path).ok());

@@ -22,6 +22,7 @@
 #include "nn/serialize.h"
 #include "serve/persist/manifest.h"
 #include "serve/persist/wal.h"
+#include "test_util.h"
 #include "workload/generator.h"
 #include "workload/schemas.h"
 
@@ -68,9 +69,10 @@ class ArtifactLintTest : public ::testing::Test {
     Rng rng(7);
     plans_ = new std::vector<PlanPtr>(generator.GenerateMany(3, &rng));
 
-    system_path_ = ::testing::TempDir() + "/lint_system.snapshot";
-    catalog_path_ = ::testing::TempDir() + "/lint_catalog.snapshot";
-    sharded_path_ = ::testing::TempDir() + "/lint_sharded.snapshot";
+    const std::string& dir = testing::ProcessTempDir();
+    system_path_ = dir + "/lint_system.snapshot";
+    catalog_path_ = dir + "/lint_catalog.snapshot";
+    sharded_path_ = dir + "/lint_sharded.snapshot";
     GEQO_CHECK_OK(system_->SaveSnapshot(system_path_));
     auto serving = system_->OpenCatalog();
     for (const PlanPtr& plan : *plans_) {
@@ -123,7 +125,7 @@ class ArtifactLintTest : public ::testing::Test {
   }
 
   static Status LoadSystem(const std::string& bytes) {
-    const std::string path = ::testing::TempDir() + "/lint_mut.snapshot";
+    const std::string path = testing::ProcessTempDir() + "/lint_mut.snapshot";
     WriteFile(path, bytes);
     const Status status = system_->LoadSnapshot(path);
     std::remove(path.c_str());
@@ -600,9 +602,10 @@ std::string CraftManifest(uint64_t kind, uint64_t num_shards, uint64_t base_id,
   return file.str();
 }
 
-/// Writes \p bytes as TempDir/MANIFEST and runs the recovery-path reader.
+/// Writes \p bytes as ProcessTempDir/MANIFEST and runs the recovery-path
+/// reader.
 Status ReadManifestBytes(const std::string& bytes) {
-  const std::string dir = ::testing::TempDir();
+  const std::string& dir = testing::ProcessTempDir();
   WriteFile(dir + "/MANIFEST", bytes);
   const auto state = serve::persist::ReadManifest(dir);
   std::remove((dir + "/MANIFEST").c_str());
@@ -687,7 +690,7 @@ std::string CraftWal(const std::vector<serve::persist::WalRecord>& records,
 Result<serve::persist::WalReplay> ReadWalBytes(const std::string& bytes,
                                                uint64_t file_id = 7,
                                                uint64_t shard = 0) {
-  const std::string path = ::testing::TempDir() + "/lint_wal.log";
+  const std::string path = testing::ProcessTempDir() + "/lint_wal.log";
   WriteFile(path, bytes);
   auto replay = serve::persist::ReadWalFile(path, file_id, shard);
   std::remove(path.c_str());

@@ -188,7 +188,7 @@ TEST_F(EmfModelTest, StateRoundTripPreservesPredictions) {
   trainer.Train(dataset);
   const std::vector<float> before = PredictAll(&model, dataset);
 
-  const std::string path = ::testing::TempDir() + "/emf_state.bin";
+  const std::string path = testing::ProcessTempDir() + "/emf_state.bin";
   ASSERT_TRUE(nn::SaveState(model.State(), path).ok());
   EmfModel restored(SmallModel());
   ASSERT_TRUE(nn::LoadState(restored.State(), path).ok());

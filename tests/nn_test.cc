@@ -9,6 +9,7 @@
 #include "nn/loss.h"
 #include "nn/serialize.h"
 #include "nn/treeconv.h"
+#include "test_util.h"
 
 namespace geqo::nn {
 namespace {
@@ -342,7 +343,7 @@ TEST(AdamTest, WeightDecayShrinksUnusedParams) {
 TEST(SerializeTest, RoundTrip) {
   Tensor a = Tensor::FromRows(2, 2, {1, 2, 3, 4});
   Tensor b = Tensor::FromVector({5, 6, 7});
-  const std::string path = ::testing::TempDir() + "/geqo_state.bin";
+  const std::string path = testing::ProcessTempDir() + "/geqo_state.bin";
   ASSERT_TRUE(SaveState({{"a", &a}, {"b", &b}}, path).ok());
 
   Tensor a2(2, 2);
@@ -359,7 +360,7 @@ TEST(SerializeTest, RoundTrip) {
 
 TEST(SerializeTest, ShapeMismatchRejected) {
   Tensor a = Tensor::FromRows(2, 2, {1, 2, 3, 4});
-  const std::string path = ::testing::TempDir() + "/geqo_state2.bin";
+  const std::string path = testing::ProcessTempDir() + "/geqo_state2.bin";
   ASSERT_TRUE(SaveState({{"a", &a}}, path).ok());
   Tensor wrong(1, 2);
   EXPECT_FALSE(LoadState({{"a", &wrong}}, path).ok());

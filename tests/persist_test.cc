@@ -2,20 +2,24 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/geqo_system.h"
 #include "serve/persist/catalog_store.h"
 #include "serve/persist/kill_point.h"
 #include "serve/persist/manifest.h"
+#include "test_util.h"
 #include "workload/generator.h"
 #include "workload/rewrite.h"
 #include "workload/schemas.h"
@@ -34,7 +38,10 @@
 //   - a torn log tail is truncated (once), counted, and gone on the next
 //     open; recovery itself can be killed and re-run idempotently;
 //   - legacy one-shot snapshot files are rejected loudly, as is opening a
-//     store with the wrong kind entry point.
+//     store with the wrong kind entry point;
+//   - concurrent probers, a writer and a background verifier journaling
+//     through a store that compacts underneath them reopen to the same
+//     entries and class partition.
 
 namespace geqo::serve {
 namespace {
@@ -78,9 +85,9 @@ class PersistTest : public ::testing::Test {
     catalog_ = nullptr;
   }
 
-  /// A fresh, empty store directory under the test tmpdir.
+  /// A fresh, empty store directory under this process's scratch directory.
   static std::string StoreDir(const std::string& name) {
-    const std::string dir = ::testing::TempDir() + "/persist_" + name;
+    const std::string dir = testing::ProcessTempDir() + "/persist_" + name;
     std::error_code ec;
     fs::remove_all(dir, ec);
     return dir;
@@ -110,6 +117,12 @@ class PersistTest : public ::testing::Test {
   /// body ran to completion without reaching the armed hit).
   static int RunKilledChild(const char* kill_point, int hits,
                             const std::function<void()>& body) {
+    // fork() copies only the calling thread, and the child of a
+    // multi-threaded process may make only async-signal-safe calls; TSan
+    // kills a child that starts a thread there (a sharded store's
+    // compaction worker). So retire the pool's workers for the fork.
+    const size_t threads = ThreadPool::GlobalThreads();
+    ThreadPool::SetGlobalThreads(1);
     const pid_t pid = fork();
     GEQO_CHECK(pid >= 0);
     if (pid == 0) {
@@ -117,6 +130,7 @@ class PersistTest : public ::testing::Test {
       body();
       std::_Exit(0);
     }
+    ThreadPool::SetGlobalThreads(threads);
     int status = 0;
     GEQO_CHECK(waitpid(pid, &status, 0) == pid);
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
@@ -444,6 +458,87 @@ TEST_F(PersistTest, TornTailIsTruncatedOnceAndCounted) {
     EXPECT_EQ((*store)->catalog()->size(), 3u);
     ASSERT_TRUE((*store)->Close().ok());
   }
+}
+
+// ---------------------------------------------------------------------------
+// The store under concurrent serving: two probers, one ProbeAdd writer and
+// one background verifier journal through a 4-shard store whose low record
+// threshold keeps background compaction folding the log while they run.
+// Once drained, the catalog must reopen with the same entries and the same
+// class partition.
+
+TEST_F(PersistTest, ConcurrentServingWithBackgroundCompactionReopensExact) {
+  // 30 generated subexpressions + 10 rewrites of the early ones, so the
+  // verifier proves classes while the store compacts.
+  Rng rng(0xC0AC);
+  QueryGenerator generator(catalog_, GeneratorOptions());
+  Rewriter rewriter(catalog_);
+  std::vector<PlanPtr> plans = generator.GenerateMany(30, &rng);
+  for (size_t i = 0; i < 10; ++i) {
+    auto variant = rewriter.RewriteOnce(plans[i], &rng);
+    ASSERT_TRUE(variant.ok()) << variant.status().ToString();
+    plans.push_back(*variant);
+  }
+
+  ShardedCatalogOptions options;
+  options.num_shards = 4;
+  options.verifier_threads = 1;
+  DurabilityOptions durability;
+  durability.compact_after_records = 16;
+  const std::string dir = StoreDir("concurrent");
+  auto store =
+      system_->OpenShardedCatalogStore(dir, plans, options, durability);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ShardedCatalog& catalog = *(*store)->sharded();
+
+  std::atomic<bool> writing{true};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  // One writer, so the global Add order is the order of `plans`, which is
+  // what the reopen below must be handed.
+  threads.emplace_back([&] {
+    for (const PlanPtr& plan : plans) {
+      if (!catalog.ProbeAdd(plan).ok()) failed = true;
+    }
+    writing = false;
+  });
+  for (size_t p = 0; p < 2; ++p) {
+    threads.emplace_back([&, p] {
+      // At least one pass, then on until the writer is done, so every
+      // ingest overlaps probes.
+      for (size_t i = 0; i < plans.size() || writing.load(); ++i) {
+        const PlanPtr& plan = plans[(i * 7 + p) % plans.size()];
+        if (!catalog.Probe(plan).ok()) failed = true;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_FALSE(failed.load());
+
+  catalog.DrainPendingVerifications();
+  ASSERT_EQ(catalog.PendingVerifications(), 0u);
+  const size_t entries = catalog.size();
+  ASSERT_EQ(entries, plans.size());
+  std::vector<size_t> partition(entries);
+  for (size_t gid = 0; gid < entries; ++gid) {
+    partition[gid] = catalog.ClassOf(gid);
+  }
+  const size_t classes = catalog.NumClasses();
+  ASSERT_TRUE((*store)->Close().ok()) << (*store)->status().ToString();
+  EXPECT_GT((*store)->stats().compactions, 0u)
+      << "no background compaction ran under the record threshold";
+
+  auto reopened =
+      system_->OpenShardedCatalogStore(dir, plans, options, durability);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ShardedCatalog& recovered = *(*reopened)->sharded();
+  recovered.DrainPendingVerifications();
+  ASSERT_EQ(recovered.size(), entries);
+  EXPECT_EQ(recovered.NumClasses(), classes);
+  for (size_t gid = 0; gid < entries; ++gid) {
+    EXPECT_EQ(recovered.ClassOf(gid), partition[gid]) << "entry " << gid;
+  }
+  ASSERT_TRUE((*reopened)->Close().ok());
 }
 
 // ---------------------------------------------------------------------------
